@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke chaos chaos-replica overload torture ingest check clean
+.PHONY: all build test race race-replication vet vet-compat lint bench bench-smoke bench-check chaos chaos-replica overload torture ingest check clean
 
 all: check
 
@@ -33,7 +33,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Vet-driver compatibility: the full ten-analyzer suite under
+# Vet-driver compatibility: the full eleven-analyzer suite under
 # `go vet -vettool`, one invocation per package with cross-package
 # facts shipped through the driver's .vetx side files. Exercises a
 # different code path than `make lint` (per-package configs, fact
@@ -54,14 +54,15 @@ race-replication:
 	$(GO) test -race -count=1 -timeout=180s ./internal/replica/... ./internal/shard/...
 
 # Static-analysis gate: go vet, then the drugtree analyzer suite
-# (clockcheck, ctxcheck, fscheck, lockcheck, spawncheck, wrapcheck,
-# plus the fact-propagating lockorder, errcmp, atomiccheck, sendcheck
-# — see DESIGN.md "Static-analysis gates"). staticcheck runs when a
+# (clockcheck, ctxcheck, fscheck, lockcheck, snapcheck, spawncheck,
+# wrapcheck, plus lockorder, errcmp, atomiccheck, sendcheck for the
+# distributed layer — see DESIGN.md "Static-analysis gates"). staticcheck runs when a
 # pinned binary is available; the container image does not bake one in
 # and the build is offline, so it is gated rather than required.
-# Baseline (2026-08-08): 0 findings over all ten analyzers,
-# suppressions ctxcheck 1/1 (mobile/server.go async prefetch root)
-# and lockcheck 1/1 (store/db.go checkpoint fsync under db.mu).
+# Baseline: 0 findings over all eleven analyzers, suppressions
+# ctxcheck 1/1 (mobile/server.go async prefetch root) and lockcheck
+# 3/3 (store/db.go checkpoint fsync under db.mu, WAL truncation fsync,
+# group-commit fsync under syncMu).
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2024.1.1
 
@@ -81,6 +82,15 @@ lint: vet
 # bench` and the experiment tables.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# The benchmark's own tests. perfbench is a separate Go module that
+# imports the engine from this checkout, so `go test ./...` at the
+# root never reaches it: every workload run tiny (traced and
+# untraced, answers checked against the query.NaiveOptions oracle),
+# the metric names/units contract against BENCHMARK.json, and the
+# teeth test.
+bench-check:
+	cd perfbench && $(GO) test ./...
 
 # Parallel-executor microbenchmarks plus the experiment tables.
 bench:
@@ -135,7 +145,7 @@ ingest:
 	$(GO) test -race -count=1 -timeout=300s -run TestRunT14 -v ./internal/experiments/
 	$(GO) run ./cmd/drugtree-bench -exp T14
 
-check: lint vet-compat build test bench-smoke race chaos-replica
+check: lint vet-compat build test bench-smoke bench-check race chaos-replica
 
 clean:
 	$(GO) clean ./...

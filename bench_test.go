@@ -387,14 +387,15 @@ func BenchmarkF4Ablation(b *testing.B) {
 	}
 }
 
-// --- T7: parallel execution (serial vs morsel-driven workers) ---
+// --- T7: parallel execution (serial vs parallel workers) ---
 
 // BenchmarkT7Parallelism compares the serial executor (Parallelism: 1)
-// against morsel-driven execution at 2 and GOMAXPROCS workers over the
-// heavy query classes the parallel operators target: residual scans,
-// hash joins, and grouped aggregation. On a single-core runner the
-// variants collapse to roughly serial cost; the speedup claim is
-// evaluated on multi-core hardware.
+// against the vectorized engine's chunk-parallel operators at 2 and
+// GOMAXPROCS workers over the heavy query classes the parallel
+// operators target: residual scans, hash joins, and grouped
+// aggregation. On a single-core runner the variants collapse to
+// roughly serial cost; the speedup claim is evaluated on multi-core
+// hardware.
 func BenchmarkT7Parallelism(b *testing.B) {
 	workerCounts := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {

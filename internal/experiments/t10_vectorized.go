@@ -11,7 +11,7 @@ import (
 // T10 — vectorized execution ablation. Same optimized planner, same
 // dataset, three physical engines: row-at-a-time Volcano iteration
 // (Vectorized=false), columnar batch execution (Vectorized=true), and
-// batch execution with 4-way morsel parallelism. The committed
+// batch execution with 4-way chunk parallelism. The committed
 // expectation: vectorization wins the scan/filter-heavy classes by
 // ≥2× because the row engine pays a per-row allocation (clone) plus
 // boxed Value evaluation for every tuple, while the batch engine

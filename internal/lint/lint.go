@@ -17,15 +17,15 @@
 //
 // Seven analyzers (clockcheck, ctxcheck, fscheck, lockcheck,
 // snapcheck, spawncheck, wrapcheck) are intra-function and purely
-// syntactic. The four added for the distributed layer (lockorder,
-// errcmp, atomiccheck, sendcheck) are fact-propagating: a collection
-// phase
-// runs every analyzer's Collect hook over every package and merges
-// the exported per-function facts ("acquires mu", "blocks on a
-// channel", "wraps sentinel X", "field f is atomic") into one table,
-// so the analysis phase can follow a call from internal/shard into
-// internal/replica and internal/store and reason about what it
-// acquires or blocks on across the package boundary.
+// syntactic. Of the four added for the distributed layer (lockorder,
+// errcmp, atomiccheck, sendcheck), the first three are
+// fact-propagating: a collection phase runs every analyzer's Collect
+// hook over every package and merges the exported per-function facts
+// ("acquires mu", "blocks on a channel", "wraps sentinel X", "field f
+// is atomic") into one table, so the analysis phase can follow a call
+// from internal/shard into internal/replica and internal/store and
+// reason about what it acquires or blocks on across the package
+// boundary.
 //
 // Each analyzer is documented on its own file; Check runs them all
 // over a set of loaded packages, applies `//lint:ignore` suppressions,

@@ -4,10 +4,7 @@ import (
 	"drugtree/internal/store"
 )
 
-// buildAgg lowers an AggNode to a hash-aggregation operator. With
-// Parallelism > 1 the operator aggregates per-worker partials over
-// contiguous input chunks and merges them in chunk order, which
-// reproduces the serial first-seen group order exactly.
+// buildAgg lowers an AggNode to a serial hash-aggregation operator.
 func buildAgg(n *AggNode, ec *execCtx, depth int) (iterator, error) {
 	if it, ok := tryOverlayRead(n, ec, depth); ok {
 		return it, nil
@@ -316,31 +313,22 @@ func (a *aggIter) Next() (store.Row, bool, error) {
 }
 
 func (a *aggIter) drain() error {
-	var final *aggTable
-	if a.ec.para > 1 {
-		t, err := a.drainParallel()
+	final := newAggTable(a.groups, a.aggs, a.args)
+	cancel := canceller{ctx: a.ec.ctx}
+	for {
+		if err := cancel.check(); err != nil {
+			return err
+		}
+		r, ok, err := a.in.Next()
 		if err != nil {
 			return err
 		}
-		final = t
-	} else {
-		final = newAggTable(a.groups, a.aggs, a.args)
-		cancel := canceller{ctx: a.ec.ctx}
-		for {
-			if err := cancel.check(); err != nil {
-				return err
-			}
-			r, ok, err := a.in.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			a.op.addIn(1)
-			if err := final.add(r); err != nil {
-				return err
-			}
+		if !ok {
+			break
+		}
+		a.op.addIn(1)
+		if err := final.add(r); err != nil {
+			return err
 		}
 	}
 	// A global aggregate over an empty input still yields one row.
@@ -350,52 +338,4 @@ func (a *aggIter) drain() error {
 	}
 	a.out = final.rows()
 	return nil
-}
-
-// drainParallel materializes the input and aggregates contiguous
-// chunks into per-worker partial tables, merged in chunk order.
-func (a *aggIter) drainParallel() (*aggTable, error) {
-	rows, err := drainAll(a.ec.ctx, a.in)
-	if err != nil {
-		return nil, err
-	}
-	a.op.addIn(int64(len(rows)))
-	if len(rows) < 2*morselSize {
-		// Partial tables would cost more than they save.
-		t := newAggTable(a.groups, a.aggs, a.args)
-		cancel := canceller{ctx: a.ec.ctx}
-		for _, r := range rows {
-			if err := cancel.check(); err != nil {
-				return nil, err
-			}
-			if err := t.add(r); err != nil {
-				return nil, err
-			}
-		}
-		return t, nil
-	}
-	chunks := splitChunks(len(rows), a.ec.para)
-	partials := make([]*aggTable, len(chunks))
-	err = runChunks(a.ec.ctx, chunks, func(w int, r morselRange) error {
-		cancel := canceller{ctx: a.ec.ctx}
-		part := newAggTable(a.groups, a.aggs, a.args)
-		for _, row := range rows[r.lo:r.hi] {
-			if err := cancel.check(); err != nil {
-				return err
-			}
-			if err := part.add(row); err != nil {
-				return err
-			}
-		}
-		partials[w] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	final := partials[0]
-	for _, p := range partials[1:] {
-		final.merge(p)
-	}
-	return final, nil
 }

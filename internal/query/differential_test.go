@@ -12,9 +12,9 @@ import (
 )
 
 // Differential harness: every query must behave identically across
-// the engine matrix — the serial row-at-a-time executor is the
-// baseline, and the row-parallel, vectorized-serial, and
-// vectorized-parallel configurations must all match it. Plans must
+// the engine matrix — the row-at-a-time executor, which always runs
+// serially, is the reference, and the vectorized-serial and
+// vectorized-parallel configurations must both match it. Plans must
 // match exactly (neither parallel dispatch nor batch execution is
 // visible to the optimizer), row counts must match, and result
 // multisets must match; for ORDER BY queries the sort key sequence
@@ -53,7 +53,6 @@ func diffMatrix() []struct {
 		name string
 		opts Options
 	}{
-		{"row-parallel", rowOptions(parallelOptions(diffParallelism))},
 		{"vec-serial", serialOptions()},
 		{"vec-parallel", parallelOptions(diffParallelism)},
 	}
@@ -137,7 +136,7 @@ func runDifferential(t *testing.T, cat Catalog, q string, ordered bool) {
 }
 
 // TestDifferentialCorpus runs a fixed corpus covering every operator
-// the parallel executor touches: morsel scans, hash joins, merge
+// the parallel executor touches: chunked scans, hash joins, merge
 // joins, nested-loop joins, aggregation (plain, grouped, DISTINCT),
 // subqueries, tree operators, sorts, and top-k.
 func TestDifferentialCorpus(t *testing.T) {
@@ -330,6 +329,11 @@ func TestDifferentialDatagen(t *testing.T) {
 		"SELECT COUNT(*), COUNT(DISTINCT ligand_id) FROM activities",
 		`SELECT p.family, COUNT(*), AVG(a.affinity) FROM proteins p
 		 JOIN activities a ON p.accession = a.protein_id GROUP BY p.family`,
+		// A scalar subquery makes the argument non-vecSafe, so the
+		// vectorized engine falls back to the row aggregate over a
+		// multi-batch input: vec-parallel must still match the
+		// reference once that operator runs serially.
+		"SELECT protein_id, SUM(affinity * (SELECT MAX(affinity) FROM activities)) FROM activities GROUP BY protein_id",
 	}
 	for _, q := range aggCorpus {
 		runDifferential(t, cat, q, false)

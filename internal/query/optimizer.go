@@ -29,17 +29,19 @@ type Options struct {
 	// PruneColumns projects dead columns away above scans that feed
 	// joins, narrowing every intermediate row.
 	PruneColumns bool
-	// Parallelism is the number of workers the executor may use for
-	// morsel-driven scans, hash-join build/probe, and partial
-	// aggregation. 0 selects runtime.GOMAXPROCS(0); 1 forces the
-	// serial path (the ablation baseline for experiments T1–T4).
+	// Parallelism is the number of workers the vectorized operators
+	// may use for the chunked scan filter, hash-join probe, and
+	// partial aggregation. 0 selects runtime.GOMAXPROCS(0); 1 forces
+	// the serial path (the ablation baseline for experiments T1–T4).
 	// Parallel and serial execution produce the same result multiset
-	// and identical plan text.
+	// and identical plan text. The row engine (Vectorized=false)
+	// ignores it and always runs serially.
 	Parallelism int
 	// Vectorized executes the physical plan over columnar batches
 	// (batch.go / physical_vec.go) instead of row-at-a-time Volcano
 	// iteration. Both engines produce identical results and plan
-	// text; this knob exists as the ablation baseline for T10.
+	// text. The row engine is the serial reference the differential
+	// harness compares against and the T10 baseline.
 	Vectorized bool
 }
 

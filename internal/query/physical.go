@@ -95,7 +95,7 @@ type execCtx struct {
 	opts  Options
 	stats *ExecStats
 	plan  []string // physical plan description lines (depth-first)
-	para  int      // effective worker count (≥1); 1 is the serial path
+	para  int      // vectorized worker count (≥1); 1 is the serial path
 }
 
 // env builds a binding environment carrying the execution context (so
@@ -407,19 +407,6 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
 		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
 	default:
 		op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
-		if ec.para > 1 {
-			// Morsel-driven scan: snapshot row references (the store
-			// never mutates a stored row in place, so shared reads are
-			// safe), then clone+filter the morsels on the worker pool.
-			refs := tv.Snapshot()
-			atomic.AddInt64(&ec.stats.RowsScanned, int64(len(refs)))
-			op.addIn(int64(len(refs)))
-			rows, err := parallelFilter(ec.ctx, refs, residual, ec.para)
-			if err != nil {
-				return nil, err
-			}
-			return &sliceIter{rows: rows, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-		}
 		var rows []store.Row
 		cancel := canceller{ctx: ec.ctx}
 		var scanErr error
@@ -625,9 +612,6 @@ func buildJoin(n *JoinNode, ec *execCtx, depth int) (iterator, error) {
 		return nil, err
 	}
 	if len(leftKeys) > 0 {
-		if ec.para > 1 {
-			return newParallelHashJoin(ec, left, right, leftKeys, rightKeys, residualBound, op)
-		}
 		return newHashJoin(left, right, leftKeys, rightKeys, residualBound, ec, op)
 	}
 	return newNestedLoopJoin(left, right, residualBound, ec, op)

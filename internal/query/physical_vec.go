@@ -248,7 +248,7 @@ func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
 		atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
 		op.addIn(int64(total))
 		if ec.para > 1 && residual != nil && len(batches) > 1 {
-			// Morsel-style parallelism at batch granularity: workers
+			// Chunk parallelism at batch granularity: workers
 			// narrow each batch's selection vector in place; batch
 			// order is preserved, so output order matches serial.
 			err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
@@ -912,7 +912,7 @@ func (a *vecAggIter) drain() error {
 
 // drainParallel materializes the input batches and aggregates
 // contiguous chunks into per-worker partial tables, merged in chunk
-// order — the same order-reproducing scheme the row engine uses.
+// order so the serial first-seen group order is reproduced.
 func (a *vecAggIter) drainParallel() (*aggTable, error) {
 	bs, err := drainBatches(a.ec.ctx, a.in)
 	if err != nil {

@@ -87,8 +87,8 @@ func scribble(res *Result) {
 // TestResultRowMutationIsolation is the aliasing regression test: a
 // caller mutating the rows a query returned must not be able to
 // corrupt table storage or a later identical query's result, under
-// either engine, serial or parallel, across every scan and join
-// shape that materializes output rows.
+// the row engine and the vectorized engine (serial or parallel),
+// across every scan and join shape that materializes output rows.
 func TestResultRowMutationIsolation(t *testing.T) {
 	queries := []string{
 		"SELECT * FROM proteins",                                  // seqscan, no projection
@@ -105,7 +105,6 @@ func TestResultRowMutationIsolation(t *testing.T) {
 		{"vec-serial", serialOptions()},
 		{"vec-parallel", parallelOptions(diffParallelism)},
 		{"row-serial", rowOptions(serialOptions())},
-		{"row-parallel", rowOptions(parallelOptions(diffParallelism))},
 	} {
 		cat := testCatalog(t)
 		eng := NewEngine(cat, tc.opts)

@@ -1052,6 +1052,11 @@ type walTableDelta struct {
 }
 
 func (w *walWriter) logBatch(deltas []walTableDelta) error {
+	return w.writeRecord(encodeWALBatch(deltas))
+}
+
+// encodeWALBatch renders a batch record body (type byte included).
+func encodeWALBatch(deltas []walTableDelta) []byte {
 	var p []byte
 	p = append(p, walBatch)
 	p = binary.AppendUvarint(p, uint64(len(deltas)))
@@ -1066,7 +1071,45 @@ func (w *walWriter) logBatch(deltas []walTableDelta) error {
 			p = AppendRow(p, r)
 		}
 	}
-	return w.writeRecord(p)
+	return p
+}
+
+// readWALBatch decodes a batch record body after its type byte.
+func readWALBatch(r *bufio.Reader) ([]walTableDelta, error) {
+	readRows := func() ([]Row, error) {
+		n, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]Row, 0, n)
+		for i := uint64(0); i < n; i++ {
+			row, err := ReadRow(r)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, row)
+		}
+		return rows, nil
+	}
+	nTables, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	var deltas []walTableDelta
+	for ti := uint64(0); ti < nTables; ti++ {
+		var d walTableDelta
+		if d.table, err = readString(r); err != nil {
+			return nil, err
+		}
+		if d.deletes, err = readRows(); err != nil {
+			return nil, err
+		}
+		if d.inserts, err = readRows(); err != nil {
+			return nil, err
+		}
+		deltas = append(deltas, d)
+	}
+	return deltas, nil
 }
 
 // replayWAL applies logged mutations after the snapshot and returns
@@ -1310,45 +1353,27 @@ func (db *DB) applyWALRecord(p []byte) error {
 		t.deleteByValue(row)
 		return nil
 	case walBatch:
-		nTables, err := binary.ReadUvarint(r)
+		deltas, err := readWALBatch(r)
 		if err != nil {
 			return err
 		}
-		for ti := uint64(0); ti < nTables; ti++ {
-			name, err := readString(r)
-			if err != nil {
-				return err
-			}
-			readRows := func() ([]Row, error) {
-				n, err := binary.ReadUvarint(r)
-				if err != nil {
-					return nil, err
-				}
-				rows := make([]Row, 0, n)
-				for i := uint64(0); i < n; i++ {
-					row, err := ReadRow(r)
-					if err != nil {
-						return nil, err
-					}
-					rows = append(rows, row)
-				}
-				return rows, nil
-			}
-			deletes, err := readRows()
-			if err != nil {
-				return err
-			}
-			inserts, err := readRows()
-			if err != nil {
-				return err
-			}
-			t, ok := db.tables[name]
+		// Resolve and schema-check every table before applying any:
+		// a bad record must leave the database untouched, because
+		// ApplyReplicated then skips the WAL write and the follower's
+		// state has to keep matching its log.
+		tables := make([]*Table, len(deltas))
+		for i, d := range deltas {
+			t, ok := db.tables[d.table]
 			if !ok {
-				return fmt.Errorf("batch delta for unknown table %q", name)
+				return fmt.Errorf("batch delta for unknown table %q", d.table)
 			}
-			if err := t.applyDeltaByValue(deletes, inserts); err != nil {
+			if err := t.checkInserts(d.inserts); err != nil {
 				return err
 			}
+			tables[i] = t
+		}
+		for i, d := range deltas {
+			tables[i].applyDeltaByValue(d.deletes, d.inserts)
 		}
 		return nil
 	}

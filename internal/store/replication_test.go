@@ -279,3 +279,76 @@ func walSize(t *testing.T, dir string) int64 {
 	}
 	return fi.Size()
 }
+
+// TestApplyReplicatedBatchAtomic pins that a follower applies a batch
+// record all-or-nothing: when a later table in the batch is unknown or
+// carries an insert that fails the schema check, the earlier tables
+// stay untouched, the follower's WAL does not advance, and a valid
+// record at the same seq still applies and survives a reopen.
+func TestApplyReplicatedBatchAtomic(t *testing.T) {
+	dir := t.TempDir()
+	follower, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { follower.Close() }()
+	schema := MustSchema(Column{Name: "id", Kind: KindInt})
+	for _, name := range []string{"a", "b"} {
+		if _, err := follower.CreateTable(name, schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ta, err := follower.Table("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := follower.WALSeq() + 1
+	verA := ta.Version()
+	good := Row{IntValue(1)}
+	for _, tc := range []struct {
+		name   string
+		second walTableDelta
+	}{
+		{"unknown table", walTableDelta{table: "nosuch", inserts: []Row{good}}},
+		{"schema mismatch", walTableDelta{table: "b", inserts: []Row{{StringValue("x")}}}},
+	} {
+		body := encodeWALBatch([]walTableDelta{{table: "a", inserts: []Row{good}}, tc.second})
+		if err := follower.ApplyReplicated(seq, body); err == nil {
+			t.Fatalf("%s: bad batch applied without error", tc.name)
+		}
+		if ta.Len() != 0 || ta.Version() != verA {
+			t.Fatalf("%s: table a changed by a rejected batch: len %d, version %d (want 0, %d)",
+				tc.name, ta.Len(), ta.Version(), verA)
+		}
+		if got := follower.WALSeq(); got != seq-1 {
+			t.Fatalf("%s: WALSeq = %d after a rejected batch, want %d", tc.name, got, seq-1)
+		}
+	}
+
+	body := encodeWALBatch([]walTableDelta{
+		{table: "a", inserts: []Row{good}},
+		{table: "b", inserts: []Row{{IntValue(2)}}},
+	})
+	if err := follower.ApplyReplicated(seq, body); err != nil {
+		t.Fatalf("valid batch at seq %d: %v", seq, err)
+	}
+	if ta.Len() != 1 || ta.Version() != verA+1 {
+		t.Fatalf("table a after valid batch: len %d, version %d (want 1, %d)", ta.Len(), ta.Version(), verA+1)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	follower, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		tab, err := follower.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Len() != 1 {
+			t.Fatalf("table %s after reopen: %d rows, want 1", name, tab.Len())
+		}
+	}
+}

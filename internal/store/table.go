@@ -616,16 +616,22 @@ func (t *Table) applyDeltaLocked(deleteIDs []int64, inserts []Row) (deleted []Ro
 	return deleted
 }
 
-// applyDeltaByValue applies a replayed/replicated batch delta: deletes
-// are matched by row value (row IDs are not stable across recovery),
-// and the whole delta commits as one version. Missing delete matches
-// are skipped, mirroring single-record delete replay.
-func (t *Table) applyDeltaByValue(deletes []Row, inserts []Row) error {
+// checkInserts schema-checks a replayed/replicated batch's inserts.
+func (t *Table) checkInserts(inserts []Row) error {
 	for i, r := range inserts {
 		if err := t.schema.CheckRow(r); err != nil {
 			return fmt.Errorf("store: table %s batch insert %d: %w", t.name, i, err)
 		}
 	}
+	return nil
+}
+
+// applyDeltaByValue applies a replayed/replicated batch delta whose
+// inserts passed checkInserts: deletes are matched by row value (row
+// IDs are not stable across recovery), and the whole delta commits as
+// one version. Missing delete matches are skipped, mirroring
+// single-record delete replay.
+func (t *Table) applyDeltaByValue(deletes []Row, inserts []Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.commit + 1
@@ -656,7 +662,6 @@ func (t *Table) applyDeltaByValue(deletes []Row, inserts []Row) error {
 	t.commit = v
 	t.emitLocked(v, inserted, deleted)
 	t.maybeGCLocked()
-	return nil
 }
 
 // findByValueLocked locates a row whose visible version equals r.
