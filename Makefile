@@ -92,9 +92,11 @@ bench-smoke:
 bench-check:
 	cd perfbench && $(GO) test ./...
 
-# Parallel-executor microbenchmarks plus the experiment tables.
+# Parallel-executor microbenchmarks, the subtree key-set probe vs
+# scan (single node and 2 shards), plus the experiment tables.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchmem ./internal/query/...
+	$(GO) test -run xxx -bench 'BenchmarkSubtreeKeySet' -benchmem ./internal/experiments/
 	$(GO) test -run xxx -bench 'BenchmarkT7Parallelism' -benchmem .
 
 # The T8 chaos experiment: scripted outage/brownout/error-burst

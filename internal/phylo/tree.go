@@ -331,6 +331,26 @@ func (t *Tree) SubtreeIndexed(id NodeID) []NodeID {
 	return out
 }
 
+// SubtreeNames returns the distinct non-empty names of the nodes in
+// the subtree rooted at id, in preorder of first occurrence: the key
+// set of a subtree over a column that stores node names.
+func (t *Tree) SubtreeNames(id NodeID) []string {
+	lo, hi := t.SubtreeInterval(id)
+	out := make([]string, 0, hi-lo+1)
+	seen := make(map[string]struct{}, hi-lo+1)
+	for p := lo; p <= hi; p++ {
+		name := t.nodes[t.byPre[p]].Name
+		if name == "" {
+			continue
+		}
+		if _, dup := seen[name]; !dup {
+			seen[name] = struct{}{}
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // SubtreeLeaves returns the leaves under id in preorder.
 func (t *Tree) SubtreeLeaves(id NodeID) []NodeID {
 	lo, hi := t.SubtreeInterval(id)

@@ -164,6 +164,8 @@ func TestDifferentialCorpus(t *testing.T) {
 		{"SELECT accession FROM proteins ORDER BY accession", true},
 		{"SELECT name FROM tree_nodes WHERE WITHIN_SUBTREE(pre, 'FAM0') AND is_leaf = TRUE", false},
 		{"SELECT name FROM tree_nodes WHERE ANCESTOR_OF(pre, 'P004')", false},
+		{"SELECT protein_id, affinity FROM activities WHERE WITHIN_SUBTREE(protein_id, 'FAM0') AND affinity > 5", false},
+		{"SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'P004')", false},
 		{"SELECT accession FROM proteins WHERE accession IN (SELECT protein_id FROM activities WHERE affinity > 8)", false},
 		{"SELECT accession FROM proteins WHERE length > (SELECT AVG(length) FROM proteins)", false},
 		{`SELECT a.protein_id, l.ligand_id FROM activities a
@@ -300,6 +302,16 @@ func datagenLiterals() []string {
 	return lits
 }
 
+// datagenNodes is the pool of named datagen tree nodes (its leaves;
+// internal nodes are unnamed) for generated WITHIN_SUBTREE predicates.
+func datagenNodes() []string {
+	var nodes []string
+	for p := 0; p < 4; p++ {
+		nodes = append(nodes, fmt.Sprintf("DT%05d", p*17))
+	}
+	return nodes
+}
+
 // TestDifferentialDatagen runs generated queries over the
 // datagen-backed catalog, where table sizes force multi-morsel scans,
 // chunked hash-join builds, and partial aggregation merges.
@@ -317,7 +329,7 @@ func TestDifferentialDatagen(t *testing.T) {
 	if tab.Len() < 2*morselSize {
 		t.Fatalf("activities has %d rows; need >= %d for multi-morsel coverage", tab.Len(), 2*morselSize)
 	}
-	g := &queryGen{rng: rand.New(rand.NewSource(11)), strLits: datagenLiterals()}
+	g := &queryGen{rng: rand.New(rand.NewSource(11)), strLits: datagenLiterals(), nodes: datagenNodes()}
 	for i := 0; i < 60; i++ {
 		q, ordered := g.generate()
 		runDifferential(t, cat, q, ordered)

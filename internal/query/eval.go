@@ -510,7 +510,7 @@ func bindSubtree(x *SubtreeExpr, env bindEnv) (*boundExpr, error) {
 		return nil, err
 	}
 	if env.schema.cols[idx].Kind == store.KindString {
-		member := subtreeNameSet(env.tree, lo, hi)
+		member := subtreeNameSet(env.tree, node)
 		return &boundExpr{
 			eval: func(r store.Row) (store.Value, error) {
 				v := r[idx]
@@ -533,15 +533,14 @@ func bindSubtree(x *SubtreeExpr, env bindEnv) (*boundExpr, error) {
 	}, nil
 }
 
-// subtreeNameSet collects the names of every tree node whose preorder
-// number falls in [lo, hi] — the string-column form of a subtree
-// membership test.
-func subtreeNameSet(tree *phylo.Tree, lo, hi int) map[string]bool {
-	member := make(map[string]bool, hi-lo+1)
-	for p := lo; p <= hi; p++ {
-		if name := tree.Node(tree.NodeAtPre(p)).Name; name != "" {
-			member[name] = true
-		}
+// subtreeNameSet collects the names of every node in the subtree
+// rooted at node — the string-column form of a subtree membership
+// test.
+func subtreeNameSet(tree *phylo.Tree, node phylo.NodeID) map[string]bool {
+	names := tree.SubtreeNames(node)
+	member := make(map[string]bool, len(names))
+	for _, name := range names {
+		member[name] = true
 	}
 	return member
 }

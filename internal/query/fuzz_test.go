@@ -17,6 +17,9 @@ type queryGen struct {
 	// strLits overrides the string literal pool (the differential
 	// harness points it at the datagen catalog's ID universe).
 	strLits []string
+	// nodes overrides the tree node names WITHIN_SUBTREE predicates
+	// over string columns draw from.
+	nodes []string
 }
 
 // column universe of the test catalog, per table.
@@ -80,7 +83,7 @@ func (g *queryGen) predicate(alias, table string, depth int) string {
 	case "bool":
 		return fmt.Sprintf("%s = %s", ref, g.literal("bool"))
 	case "string":
-		switch g.rng.Intn(5) {
+		switch g.rng.Intn(6) {
 		case 0:
 			return fmt.Sprintf("%s = %s", ref, g.literal("string"))
 		case 1:
@@ -95,6 +98,14 @@ func (g *queryGen) predicate(alias, table string, depth int) string {
 				"SELECT ligand_id FROM ligands WHERE weight > 120",
 			}
 			return fmt.Sprintf("%s IN (%s)", ref, subs[g.rng.Intn(len(subs))])
+		case 4:
+			// Subtree membership over a column of node names: the
+			// key-set index probe when the column is indexed.
+			nodes := []string{"root", "FAM0", "FAM1", "P000", "P005"}
+			if g.nodes != nil {
+				nodes = g.nodes
+			}
+			return fmt.Sprintf("WITHIN_SUBTREE(%s, '%s')", ref, nodes[g.rng.Intn(len(nodes))])
 		default:
 			return fmt.Sprintf("%s IN (%s, %s)", ref, g.literal("string"), g.literal("string"))
 		}

@@ -231,18 +231,34 @@ func buildIterator(p LogicalPlan, ec *execCtx, depth int) (iterator, error) {
 
 // accessPath describes the chosen way into a table.
 type accessPath struct {
-	kind   string // "seqscan", "indexeq", "indexrange"
+	kind   string // "seqscan", "indexeq", "indexkeyset", "indexrange"
 	column string
 	eq     store.Value
 	lo, hi *store.Value
 	loOpen bool // lo bound is exclusive (>)
 	hiOpen bool // hi bound is exclusive (<)
+	// keys and subtree describe an indexkeyset path: the subtree's
+	// node names, each probed in the index on column.
+	keys    []store.Value
+	subtree *SubtreeExpr
 	// residual predicates evaluated per row.
 	residual []Expr
 }
 
-// chooseAccessPath inspects pushed conjuncts and the table's indexes.
-func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
+// keySetMaxShare is the key-set cost rule's cut-off: WITHIN_SUBTREE
+// over an indexed name column probes the index once per subtree name
+// when the estimated probe rows (keys × rows/NDV) are at most this
+// share of the table's rows, and scans otherwise. On the 29,803-row
+// activities table of DESIGN §4 the probes cost ≈0.44 µs per matched
+// row against ≈0.2 µs per scanned row, so the two paths cross at about
+// half the table (5.1 ms vs 5.3 ms at 15,067 rows). The estimate
+// counts internal-node names, which rarely key rows, so it errs
+// towards the scan.
+const keySetMaxShare = 0.5
+
+// chooseAccessPath inspects pushed conjuncts, the table's indexes
+// and — for the key-set path — the catalog's tree and statistics.
+func chooseAccessPath(n *ScanNode, t *store.Table, cat Catalog, useIndexes bool) accessPath {
 	path := accessPath{kind: "seqscan", residual: n.Conjuncts}
 	if !useIndexes {
 		return path
@@ -260,10 +276,10 @@ func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
 		if _, indexed := t.HasIndex(col.Name); !indexed {
 			continue
 		}
-		res := make([]Expr, 0, len(n.Conjuncts)-1)
-		res = append(res, n.Conjuncts[:i]...)
-		res = append(res, n.Conjuncts[i+1:]...)
-		return accessPath{kind: "indexeq", column: col.Name, eq: lit.Val, residual: res}
+		return accessPath{kind: "indexeq", column: col.Name, eq: lit.Val, residual: withoutConjunct(n.Conjuncts, i)}
+	}
+	if ks, ok := chooseKeySet(n, t, cat); ok {
+		return ks
 	}
 	// Range bounds on one B+-tree-indexed column.
 	type bound struct {
@@ -369,12 +385,64 @@ func chooseAccessPath(n *ScanNode, t *store.Table, useIndexes bool) accessPath {
 	return out
 }
 
+// chooseKeySet serves WITHIN_SUBTREE(col, node) on an indexed STRING
+// column, which holds node names rather than preorder numbers, with
+// one index probe per name in the subtree — when the cost rule
+// (keySetMaxShare) says the probes read fewer rows than a scan.
+func chooseKeySet(n *ScanNode, t *store.Table, cat Catalog) (accessPath, bool) {
+	tree := cat.Tree()
+	if tree == nil {
+		return accessPath{}, false
+	}
+	schema := t.Schema()
+	for i, c := range n.Conjuncts {
+		sub, ok := c.(*SubtreeExpr)
+		if !ok {
+			continue
+		}
+		ci := schema.ColumnIndex(sub.Column.Name)
+		if ci < 0 || schema.Columns[ci].Kind != store.KindString {
+			continue
+		}
+		if _, indexed := t.HasIndex(sub.Column.Name); !indexed {
+			continue
+		}
+		node, err := findTreeNode(tree, sub.Node)
+		if err != nil {
+			continue // binding the scan's filter reports it
+		}
+		st, err := cat.Stats(n.Table)
+		if err != nil {
+			continue
+		}
+		names := tree.SubtreeNames(node)
+		rows := float64(st.Rows)
+		if float64(len(names))*rows*st.SelectivityEqual(sub.Column.Name) > keySetMaxShare*rows {
+			continue
+		}
+		keys := make([]store.Value, len(names))
+		for k, name := range names {
+			keys[k] = store.StringValue(name)
+		}
+		return accessPath{kind: "indexkeyset", column: sub.Column.Name, keys: keys, subtree: sub,
+			residual: withoutConjunct(n.Conjuncts, i)}, true
+	}
+	return accessPath{}, false
+}
+
+// withoutConjunct returns cs minus its i-th element, in a new slice.
+func withoutConjunct(cs []Expr, i int) []Expr {
+	out := make([]Expr, 0, len(cs)-1)
+	out = append(out, cs[:i]...)
+	return append(out, cs[i+1:]...)
+}
+
 func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
 	tv, err := ec.view(n.Table)
 	if err != nil {
 		return nil, err
 	}
-	path := chooseAccessPath(n, tv.Table(), ec.opts.UseIndexes)
+	path := chooseAccessPath(n, tv.Table(), ec.cat, ec.opts.UseIndexes)
 	var residual *boundExpr
 	if len(path.residual) > 0 {
 		be, err := bind(joinConjuncts(path.residual), ec.env(n.schema))
@@ -383,46 +451,53 @@ func buildScan(n *ScanNode, ec *execCtx, depth int) (iterator, error) {
 		}
 		residual = be
 	}
-	switch path.kind {
+	if path.kind != "seqscan" {
+		op, ids, err := indexLookup(n.Table, path, tv, ec, depth)
+		if err != nil {
+			return nil, err
+		}
+		rows := tv.Rows(ids)
+		atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
+		op.addIn(int64(len(rows)))
+		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+	}
+	op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
+	var rows []store.Row
+	cancel := canceller{ctx: ec.ctx}
+	var scanErr error
+	tv.Scan(func(_ int64, r store.Row) bool {
+		if scanErr = cancel.check(); scanErr != nil {
+			return false
+		}
+		rows = append(rows, r.Clone())
+		return true
+	})
+	if scanErr != nil {
+		return nil, scanErr
+	}
+	atomic.AddInt64(&ec.stats.RowsScanned, int64(len(rows)))
+	op.addIn(int64(len(rows)))
+	return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+}
+
+// indexLookup notes an index path's plan line — the same text in
+// both engines — and returns the IDs of the rows it selects at the
+// view's version.
+func indexLookup(table string, p accessPath, tv *store.TableView, ec *execCtx, depth int) (*OpStats, []int64, error) {
+	switch p.kind {
 	case "indexeq":
-		op := ec.note(depth, "IndexScan %s (%s = %v)%s", n.Table, path.column, path.eq, residualNote(path))
-		ids, err := tv.LookupEqual(path.column, path.eq)
-		if err != nil {
-			return nil, err
-		}
-		rows := tv.Rows(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
-		op.addIn(int64(len(rows)))
-		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	case "indexrange":
-		op := ec.note(depth, "IndexRangeScan %s (%s in [%s, %s])%s", n.Table, path.column,
-			boundStr(path.lo), boundStr(path.hi), residualNote(path))
-		ids, err := tv.LookupRange(path.column, path.lo, path.hi)
-		if err != nil {
-			return nil, err
-		}
-		rows := tv.Rows(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(len(rows)))
-		op.addIn(int64(len(rows)))
-		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
-	default:
-		op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
-		var rows []store.Row
-		cancel := canceller{ctx: ec.ctx}
-		var scanErr error
-		tv.Scan(func(_ int64, r store.Row) bool {
-			if scanErr = cancel.check(); scanErr != nil {
-				return false
-			}
-			rows = append(rows, r.Clone())
-			return true
-		})
-		if scanErr != nil {
-			return nil, scanErr
-		}
-		atomic.AddInt64(&ec.stats.RowsScanned, int64(len(rows)))
-		op.addIn(int64(len(rows)))
-		return &sliceIter{rows: rows, residual: residual, stats: ec.stats, cancel: canceller{ctx: ec.ctx}, op: op}, nil
+		op := ec.note(depth, "IndexScan %s (%s = %v)%s", table, p.column, p.eq, residualNote(p))
+		ids, err := tv.LookupEqual(p.column, p.eq)
+		return op, ids, err
+	case "indexkeyset":
+		op := ec.note(depth, "IndexKeySetScan %s (%s: %d keys)%s", table, p.subtree, len(p.keys), residualNote(p))
+		ids, err := tv.LookupIn(p.column, p.keys)
+		return op, ids, err
+	default: // indexrange
+		op := ec.note(depth, "IndexRangeScan %s (%s in [%s, %s])%s", table, p.column,
+			boundStr(p.lo), boundStr(p.hi), residualNote(p))
+		ids, err := tv.LookupRange(p.column, p.lo, p.hi)
+		return op, ids, err
 	}
 }
 
@@ -583,8 +658,8 @@ func buildJoin(n *JoinNode, ec *execCtx, depth int) (iterator, error) {
 	if ls, rs, lcol, rcol, ok := mergeJoinable(n, leftKeys, rightKeys, ec); ok {
 		lt, _ := ec.cat.Table(ls.Table)
 		rt, _ := ec.cat.Table(rs.Table)
-		if chooseAccessPath(ls, lt, true).kind == "seqscan" &&
-			chooseAccessPath(rs, rt, true).kind == "seqscan" {
+		if chooseAccessPath(ls, lt, ec.cat, true).kind == "seqscan" &&
+			chooseAccessPath(rs, rt, ec.cat, true).kind == "seqscan" {
 			op := ec.note(depth, "MergeJoin (%s = %s)%s", lcol, rcol, joinResidualNote(residual))
 			li, lkIdx, err := buildOrderedScan(ls, lcol, ec, depth+1)
 			if err != nil {

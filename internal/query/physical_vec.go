@@ -191,7 +191,7 @@ func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
 	if err != nil {
 		return built{}, err
 	}
-	path := chooseAccessPath(n, tv.Table(), ec.opts.UseIndexes)
+	path := chooseAccessPath(n, tv.Table(), ec.cat, ec.opts.UseIndexes)
 	var residual *vecPred
 	if len(path.residual) > 0 {
 		vp, err := bindVecPred(joinConjuncts(path.residual), ec.env(n.schema))
@@ -200,10 +200,8 @@ func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
 		}
 		residual = vp
 	}
-	switch path.kind {
-	case "indexeq":
-		op := ec.note(depth, "IndexScan %s (%s = %v)%s", n.Table, path.column, path.eq, residualNote(path))
-		ids, err := tv.LookupEqual(path.column, path.eq)
+	if path.kind != "seqscan" {
+		op, ids, err := indexLookup(n.Table, path, tv, ec, depth)
 		if err != nil {
 			return built{}, err
 		}
@@ -214,64 +212,49 @@ func buildScanVec(n *ScanNode, ec *execCtx, depth int) (built, error) {
 		atomic.AddInt64(&ec.stats.RowsIndexed, int64(cb.Rows))
 		op.addIn(int64(cb.Rows))
 		return built{b: &vecScan{batches: batchesOf(cb), residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
-	case "indexrange":
-		op := ec.note(depth, "IndexRangeScan %s (%s in [%s, %s])%s", n.Table, path.column,
-			boundStr(path.lo), boundStr(path.hi), residualNote(path))
-		ids, err := tv.LookupRange(path.column, path.lo, path.hi)
-		if err != nil {
-			return built{}, err
-		}
-		if residual == nil && len(ids) <= vecSmallGather {
-			return smallIndexScan(tv, ids, ec, op), nil
-		}
-		cb := tv.GatherCols(ids)
-		atomic.AddInt64(&ec.stats.RowsIndexed, int64(cb.Rows))
-		op.addIn(int64(cb.Rows))
-		return built{b: &vecScan{batches: batchesOf(cb), residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
-	default:
-		op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
-		var batches []*batch
-		total := 0
-		cancel := canceller{ctx: ec.ctx}
-		var scanErr error
-		tv.ScanBatch(vecBatchSize, func(cb *store.ColBatch) bool {
-			if scanErr = cancel.now(); scanErr != nil {
-				return false
-			}
-			batches = append(batches, wholeBatch(cb))
-			total += cb.Rows
-			return true
-		})
-		if scanErr != nil {
-			return built{}, scanErr
-		}
-		atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
-		op.addIn(int64(total))
-		if ec.para > 1 && residual != nil && len(batches) > 1 {
-			// Chunk parallelism at batch granularity: workers
-			// narrow each batch's selection vector in place; batch
-			// order is preserved, so output order matches serial.
-			err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
-				c := canceller{ctx: ec.ctx}
-				for _, b := range batches[r.lo:r.hi] {
-					if err := c.now(); err != nil {
-						return err
-					}
-					sel, err := residual.filter(b, b.selection())
-					if err != nil {
-						return err
-					}
-					b.sel = sel
-				}
-				return nil
-			})
-			if err != nil {
-				return built{}, err
-			}
-			return built{b: &vecScan{batches: batches, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
-		}
-		return built{b: &vecScan{batches: batches, residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
 	}
+	op := ec.note(depth, "SeqScan %s%s", n.Table, residualNote(path))
+	var batches []*batch
+	total := 0
+	cancel := canceller{ctx: ec.ctx}
+	var scanErr error
+	tv.ScanBatch(vecBatchSize, func(cb *store.ColBatch) bool {
+		if scanErr = cancel.now(); scanErr != nil {
+			return false
+		}
+		batches = append(batches, wholeBatch(cb))
+		total += cb.Rows
+		return true
+	})
+	if scanErr != nil {
+		return built{}, scanErr
+	}
+	atomic.AddInt64(&ec.stats.RowsScanned, int64(total))
+	op.addIn(int64(total))
+	if ec.para > 1 && residual != nil && len(batches) > 1 {
+		// Chunk parallelism at batch granularity: workers
+		// narrow each batch's selection vector in place; batch
+		// order is preserved, so output order matches serial.
+		err := runChunks(ec.ctx, splitChunks(len(batches), ec.para), func(_ int, r morselRange) error {
+			c := canceller{ctx: ec.ctx}
+			for _, b := range batches[r.lo:r.hi] {
+				if err := c.now(); err != nil {
+					return err
+				}
+				sel, err := residual.filter(b, b.selection())
+				if err != nil {
+					return err
+				}
+				b.sel = sel
+			}
+			return nil
+		})
+		if err != nil {
+			return built{}, err
+		}
+		return built{b: &vecScan{batches: batches, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
+	}
+	return built{b: &vecScan{batches: batches, residual: residual, cancel: canceller{ctx: ec.ctx}, op: op}}, nil
 }
 
 // vecScan streams materialized batches, applying an optional residual
@@ -463,8 +446,8 @@ func buildJoinVec(n *JoinNode, ec *execCtx, depth int) (built, error) {
 	if ls, rs, lcol, rcol, ok := mergeJoinable(n, leftKeys, rightKeys, ec); ok {
 		lt, _ := ec.cat.Table(ls.Table)
 		rt, _ := ec.cat.Table(rs.Table)
-		if chooseAccessPath(ls, lt, true).kind == "seqscan" &&
-			chooseAccessPath(rs, rt, true).kind == "seqscan" {
+		if chooseAccessPath(ls, lt, ec.cat, true).kind == "seqscan" &&
+			chooseAccessPath(rs, rt, ec.cat, true).kind == "seqscan" {
 			residualBound, err := bindJoinResidual(residual, n, ec)
 			if err != nil {
 				return built{}, err

@@ -853,7 +853,7 @@ func bindVecSubtree(x *SubtreeExpr, env bindEnv) (*vecExpr, error) {
 		return nil, err
 	}
 	if env.schema.cols[idx].Kind == store.KindString {
-		member := subtreeNameSet(env.tree, lo, hi)
+		member := subtreeNameSet(env.tree, node)
 		return &vecExpr{kind: store.KindBool, eval: func(b *batch, sel []int) (*store.Col, error) {
 			c := b.cols[idx]
 			out := store.NewDenseCol(store.KindBool, b.n)

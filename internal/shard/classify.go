@@ -342,17 +342,22 @@ func (c *Coordinator) pruneShards(stmt *query.SelectStmt, aliases []aliasInfo, h
 			}
 		case *query.SubtreeExpr:
 			p, kind, ok := partitionKeyOf(aliases, x.Column)
-			if !ok || kind != store.KindInt {
+			if !ok {
 				break
 			}
 			id, ok := c.byName[x.Node]
 			if !ok {
 				break
 			}
-			lo, hi := c.tree.SubtreeInterval(id)
-			lov := store.IntValue(int64(lo))
-			hiv := store.IntValue(int64(hi))
-			intersect(p.RouteRange(&lov, &hiv))
+			switch kind {
+			case store.KindInt:
+				lo, hi := c.tree.SubtreeInterval(id)
+				lov := store.IntValue(int64(lo))
+				hiv := store.IntValue(int64(hi))
+				intersect(p.RouteRange(&lov, &hiv))
+			case store.KindString:
+				intersect(routeNames(p, c.tree.SubtreeNames(id)))
+			}
 		}
 	}
 	var participate []int
@@ -378,6 +383,26 @@ func (c *Coordinator) pruneShards(stmt *query.SelectStmt, aliases []aliasInfo, h
 		participate = healthy[:1]
 	}
 	return participate, pruned, skipped
+}
+
+// routeNames returns the shards owning rows keyed by any of names.
+// The answer is exact, not a bound: the partitioner placed every row
+// by Route of its key, so a row whose key names a subtree node lives
+// on that name's shard — duplicate names and hash-fallback routing
+// included.
+func routeNames(p Partitioner, names []string) []int {
+	hit := make([]bool, p.Shards())
+	var ids []int
+	for _, name := range names {
+		if s := p.Route(store.StringValue(name)); !hit[s] {
+			hit[s] = true
+			ids = append(ids, s)
+			if len(ids) == len(hit) {
+				break
+			}
+		}
+	}
+	return ids
 }
 
 // keyComparison matches `col <op> literal` (either operand order,

@@ -48,6 +48,8 @@ func TestShardedDifferentialCorpus(t *testing.T) {
 		{"SELECT protein_id, affinity FROM activities ORDER BY affinity LIMIT 11", 1},
 		{fmt.Sprintf("SELECT name FROM tree_nodes WHERE WITHIN_SUBTREE(pre, '%s') AND is_leaf = TRUE", clade), -1},
 		{"SELECT name FROM tree_nodes WHERE ANCESTOR_OF(pre, 'DT00010')", -1},
+		{fmt.Sprintf("SELECT protein_id, affinity FROM activities WHERE WITHIN_SUBTREE(protein_id, '%s') AND affinity > 6", clade), -1},
+		{"SELECT COUNT(*), AVG(affinity) FROM activities WHERE WITHIN_SUBTREE(protein_id, 'DT00010')", -1},
 		{"SELECT accession FROM proteins WHERE accession IN (SELECT protein_id FROM activities WHERE affinity > 8)", -1},
 		{"SELECT accession FROM proteins WHERE length > (SELECT AVG(length) FROM proteins)", -1},
 		{`SELECT a.protein_id, l.ligand_id FROM activities a

@@ -203,6 +203,15 @@ func (tv *TableView) LookupEqual(column string, v Value) ([]int64, error) {
 	return tv.t.LookupEqualAt(tv.v, column, v)
 }
 
+// LookupIn returns the IDs of visible rows whose column equals any of
+// vals, sorted ascending.
+func (tv *TableView) LookupIn(column string, vals []Value) ([]int64, error) {
+	if tv.v < 0 {
+		return tv.t.LookupIn(column, vals)
+	}
+	return tv.t.LookupInAt(tv.v, column, vals)
+}
+
 // LookupRange returns the IDs of visible rows with lo ≤ column ≤ hi.
 func (tv *TableView) LookupRange(column string, lo, hi *Value) ([]int64, error) {
 	if tv.v < 0 {

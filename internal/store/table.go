@@ -472,6 +472,36 @@ func (t *Table) lookupEqualLocked(ver int64, column string, v Value) ([]int64, e
 	return ids, nil
 }
 
+// LookupIn returns the IDs of rows whose column equals any of vals at
+// the latest version, sorted ascending — one index probe per value
+// under a single read lock, so every probe sees the same version.
+// vals must be distinct (a row matches at most one of them).
+func (t *Table) LookupIn(column string, vals []Value) ([]int64, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.lookupInLocked(t.commit, column, vals)
+}
+
+// LookupInAt is LookupIn at a pinned commit version.
+func (t *Table) LookupInAt(ver int64, column string, vals []Value) ([]int64, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.lookupInLocked(ver, column, vals)
+}
+
+func (t *Table) lookupInLocked(ver int64, column string, vals []Value) ([]int64, error) {
+	var ids []int64
+	for _, v := range vals {
+		got, err := t.lookupEqualLocked(ver, column, v)
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, got...)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids, nil
+}
+
 // LookupRange returns the IDs of rows with lo ≤ column ≤ hi (nil
 // bounds are open) at the latest version. A B+-tree index is used when
 // available; otherwise the table is scanned.
